@@ -44,26 +44,12 @@ class Kernel:
         return seconds, violations
 
 
-def _job_counters(env) -> dict:
-    """Physical and per-superstep counters the traced run reports."""
-    metrics = env.metrics
-    log = metrics.iteration_log
+def _counters(env) -> dict:
+    """The job's counters; the disk bytes of its storage session beside."""
+    counters = env.metrics.snapshot()
     session = env.storage_session
-    return {
-        "records_shipped_local": metrics.records_shipped_local,
-        "bytes_shipped": metrics.bytes_shipped,
-        "batches_shipped": metrics.batches_shipped,
-        "solution_updates": metrics.solution_updates,
-        "records_spilled": metrics.records_spilled,
-        "bytes_spilled": metrics.bytes_spilled,
-        "columns_zero_copied": metrics.columns_zero_copied,
-        "bytes_zero_copied": metrics.bytes_zero_copied,
-        "plan_switches": metrics.plan_switches,
-        "workset_records": sum(s.workset_size for s in log),
-        "delta_records": sum(s.delta_size for s in log),
-        "superstep_s": [s.duration_s for s in log],
-        "disk_bytes": session.disk_bytes() if session is not None else 0,
-    }
+    counters["disk_bytes"] = session.disk_bytes() if session else 0
+    return counters
 
 
 def run_child(args) -> dict:
@@ -131,8 +117,7 @@ def run_child(args) -> dict:
         peak_rss = sum(procstat.peak_rss_mib(pid) for pid in pids)
         correct = runner.check(result)
         del result
-        counters = runner.counters(env)
-        extra = _job_counters(env)
+        counters = _counters(env)
         runner.release(env)
         seconds, violations = kernel.measure()
         ref = (previous + seconds) / 2
@@ -147,7 +132,6 @@ def run_child(args) -> dict:
             "peak_rss_mb": peak_rss,
             "correct": correct,
             "counters": counters,
-            "extra": extra,
             "quiescence": previous_violations + violations,
             "window": [started, ended],
         })

@@ -166,14 +166,16 @@ def rep_layers(rep, traced) -> dict:
         if s is not None and s["name"] == "WorkerPool.run_job"
         and s["start"] >= start and s["end"] <= end
     ]
-    counters, extra = rep["counters"], rep["extra"]
-    steps_ms = [1000.0 * s * factor for s in extra["superstep_s"]] or [0.0]
+    counters = rep["counters"]
+    log = counters["iteration_log"]
+    steps_ms = [1000.0 * s["duration_s"] * factor for s in log] or [0.0]
     p90 = (
         _percentile(steps_ms, 0.9)
         if len(steps_ms) >= P90_MIN_SUPERSTEPS else max(steps_ms)
     )
     accesses = counters["solution_accesses"]
-    worksets = extra["workset_records"]
+    worksets = sum(s["workset_size"] for s in log)
+    deltas = sum(s["delta_size"] for s in log)
     return {
         "solution_set.build_s": factor * totals.s("SolutionSetIndex.build"),
         "solution_set.probe_s": factor * totals.s("SolutionSetIndex.lookup"),
@@ -181,19 +183,19 @@ def rep_layers(rep, traced) -> dict:
             "SolutionSetIndex.apply_delta", "SolutionSetIndex.apply_record"
         ),
         "solution_set.accesses": accesses,
-        "solution_set.updates": extra["solution_updates"],
+        "solution_set.updates": counters["solution_updates"],
         "solution_set.update_ratio": (
-            extra["solution_updates"] / accesses if accesses else 0.0
+            counters["solution_updates"] / accesses if accesses else 0.0
         ),
         "iterations.workset_records": worksets,
-        "iterations.delta_records": extra["delta_records"],
+        "iterations.delta_records": deltas,
         "iterations.delta_per_workset": (
-            extra["delta_records"] / worksets if worksets else 0.0
+            deltas / worksets if worksets else 0.0
         ),
         "channels.records_shipped_remote": counters["records_shipped_remote"],
-        "channels.records_shipped_local": extra["records_shipped_local"],
-        "channels.bytes_shipped": extra["bytes_shipped"],
-        "channels.batches_shipped": extra["batches_shipped"],
+        "channels.records_shipped_local": counters["records_shipped_local"],
+        "channels.bytes_shipped": counters["bytes_shipped"],
+        "channels.batches_shipped": counters["batches_shipped"],
         "channels.ship_s": factor * totals.s("ship"),
         "batch.keys_s": factor * totals.s("RecordBatch.keys"),
         "batch.hashes_s": factor * totals.s(
@@ -216,8 +218,8 @@ def rep_layers(rep, traced) -> dict:
         "codec.job_bytes": totals.bytes,
         "fabric.send_s": factor * totals.s(*_SEND),
         "fabric.recv_wait_s": factor * totals.s("Endpoint.recv"),
-        "fabric.bytes_zero_copied": extra["bytes_zero_copied"],
-        "fabric.columns_zero_copied": extra["columns_zero_copied"],
+        "fabric.bytes_zero_copied": counters["bytes_zero_copied"],
+        "fabric.columns_zero_copied": counters["columns_zero_copied"],
         "storage.diskdict_get_s": factor * totals.s(
             "DiskDict.get", "DiskDict.__getitem__"
         ),
@@ -225,16 +227,16 @@ def rep_layers(rep, traced) -> dict:
         "storage.spill_io_s": factor * totals.s(
             "SpillFile.append", "SpillFile.read_entries"
         ),
-        "storage.disk_bytes": extra["disk_bytes"],
-        "storage.records_spilled": extra["records_spilled"],
-        "storage.bytes_spilled": extra["bytes_spilled"],
+        "storage.disk_bytes": counters["disk_bytes"],
+        "storage.records_spilled": counters["records_spilled"],
+        "storage.bytes_spilled": counters["bytes_spilled"],
         "executor.self_s": factor * totals.s("Executor.run"),
         "executor.supersteps": counters["supersteps"],
         "executor.superstep_p50_ms": statistics.median(steps_ms),
         "executor.superstep_p90_ms": p90,
         "executor.superstep_max_ms": max(steps_ms),
         "optimizer.compile_s": factor * totals.s("optimize_plan"),
-        "optimizer.plan_switches": extra["plan_switches"],
+        "optimizer.plan_switches": counters["plan_switches"],
         "host.ref_kernel_s": rep["ref_s"],
         "host.job_wall_s": rep["raw_job_s"],
         "trace.unattributed_s": factor * totals.s("job"),

@@ -145,16 +145,6 @@ class Runner:
             for v, rank in self.truth.items()
         )
 
-    @staticmethod
-    def counters(env) -> dict:
-        metrics = env.metrics
-        return {
-            "supersteps": metrics.supersteps,
-            "records_shipped_remote": metrics.records_shipped_remote,
-            "solution_accesses": metrics.solution_accesses,
-            "total_processed": metrics.total_processed,
-        }
-
     def release(self, env) -> None:
         """Free a finished job's environment but keep the shared pool."""
         if env.backend is self._backend:
